@@ -1,7 +1,7 @@
 # Tier-1 gate plus the repo-specific static analyzer, formatting,
 # full-tree race detection, and fuzz smoke runs.
 
-.PHONY: verify build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo health-demo
+.PHONY: verify build test race vet fmtcheck couchvet fuzz-smoke bench-smoke cluster-test trace-demo health-demo examples
 
 verify: fmtcheck vet build test couchvet race
 
@@ -18,7 +18,7 @@ fmtcheck:
 	@out=$$(gofmt -l cmd internal); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# couchvet runs all eight rules plus the unused-pragma audit; vetfmt
+# couchvet runs all nine rules plus the unused-pragma audit; vetfmt
 # turns the JSON findings into GitHub Actions ::error annotations and
 # is the pipe's exit status, so an empty stream (couchvet crashed)
 # fails the gate instead of passing silently.
@@ -48,6 +48,13 @@ health-demo:
 # Behind a build tag so tier-1 `make test` stays fast.
 cluster-test:
 	go test -tags clustertest -race -count=1 -timeout 10m -v ./integration
+
+# Runnable library examples, each bounded by a timeout. rebalance is
+# the only program that exercises public-API auto-failover
+# (ClusterOptions.FailoverTimeout); both take a few seconds.
+examples:
+	timeout 120s go run ./examples/rebalance
+	timeout 120s go run ./examples/quickstart
 
 # Each fuzz target gets a short bounded run; any crasher fails the
 # target. Lengthen with FUZZTIME=1m etc. for local soak runs.

@@ -112,7 +112,6 @@ func main() {
 		Dir:                *dir,
 		NumVBuckets:        *vbuckets,
 		SyncPersist:        *syncWrite,
-		FailoverTimeout:    2 * time.Second,
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLogSize:   *slowLog,
 	})
@@ -147,16 +146,7 @@ func main() {
 	watchdog := health.New(health.Options{Interval: *healthEvery})
 	health.RegisterClusterChecks(watchdog, cluster, health.ClusterCheckConfig{})
 	if *autoFailover {
-		watchdog.OnTransition(func(st health.CheckStatus) {
-			id := health.NodeIDFromCheck(st.Name)
-			if id == "" || st.State != health.Critical {
-				return
-			}
-			log.Printf("auto-failover: %s (%s)", id, st.Detail)
-			if err := cluster.Failover(id); err != nil {
-				log.Printf("auto-failover %s: %v", id, err)
-			}
-		})
+		health.AutoFailover(watchdog, cluster)
 		log.Printf("auto-failover armed (health interval %s)", *healthEvery)
 	}
 	watchdog.Start()

@@ -33,6 +33,7 @@ import (
 	"couchgo/internal/core"
 	"couchgo/internal/executor"
 	"couchgo/internal/fts"
+	"couchgo/internal/health"
 	"couchgo/internal/value"
 	"couchgo/internal/vbucket"
 	"couchgo/internal/views"
@@ -82,7 +83,8 @@ type ClusterOptions struct {
 	// DiskDelay injects simulated device latency per flush batch.
 	DiskDelay time.Duration
 	// FailoverTimeout enables automatic failover of unresponsive nodes
-	// after this grace period (0 = manual failover only).
+	// after this grace period (0 = manual failover only). A health
+	// watchdog carrying one liveness check per node detects the failure.
 	FailoverTimeout time.Duration
 }
 
@@ -100,26 +102,39 @@ type BucketOptions struct {
 // Cluster is a couchgo cluster handle.
 type Cluster struct {
 	c *core.Cluster
+	// wd is the auto-failover watchdog (nil unless FailoverTimeout is
+	// set).
+	wd *health.Watchdog
 }
 
 // NewCluster creates a cluster. Add nodes, then create buckets.
 func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	c, err := core.NewCluster(core.Config{
-		Dir:             opts.Dir,
-		NumVBuckets:     opts.NumVBuckets,
-		SyncPersist:     opts.SyncPersist,
-		DiskDelay:       opts.DiskDelay,
-		FailoverTimeout: opts.FailoverTimeout,
+		Dir:         opts.Dir,
+		NumVBuckets: opts.NumVBuckets,
+		SyncPersist: opts.SyncPersist,
+		DiskDelay:   opts.DiskDelay,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{c: c}, nil
+	cl := &Cluster{c: c}
+	if opts.FailoverTimeout > 0 {
+		// A node check must hold critical for RaiseAfter consecutive
+		// ticks, so failover fires one to 1.5 timeouts after a crash.
+		cl.wd = health.New(health.Options{Interval: opts.FailoverTimeout / 2, RaiseAfter: 2})
+		health.AutoFailover(cl.wd, c)
+		cl.wd.Start()
+	}
+	return cl, nil
 }
 
 // AddNode joins a node running the given services.
 func (c *Cluster) AddNode(name string, services Services) error {
-	_, err := c.c.AddNode(cmap.NodeID(name), services)
+	n, err := c.c.AddNode(cmap.NodeID(name), services)
+	if err == nil && c.wd != nil {
+		health.RegisterNodeCheck(c.wd, c.c, n)
+	}
 	return err
 }
 
@@ -154,7 +169,12 @@ func (c *Cluster) Kill(node string) error { return c.c.Kill(cmap.NodeID(node)) }
 func (c *Cluster) Orchestrator() string { return string(c.c.Orchestrator()) }
 
 // Close shuts the cluster down.
-func (c *Cluster) Close() { c.c.Close() }
+func (c *Cluster) Close() {
+	if c.wd != nil {
+		c.wd.Stop()
+	}
+	c.c.Close()
+}
 
 // Internal exposes the underlying engine for advanced integrations
 // (the REST layer and benchmarks use it).

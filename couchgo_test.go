@@ -375,3 +375,67 @@ func TestPublicDurabilityTimeoutError(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }
+
+// TestAutoFailoverOrchestratorCrash crashes the orchestrator itself
+// under ClusterOptions.FailoverTimeout: the next node is elected, the
+// health watchdog fails the crashed node over, and every document
+// written with ReplicateTo=1 stays readable.
+func TestAutoFailoverOrchestratorCrash(t *testing.T) {
+	c, err := NewCluster(ClusterOptions{
+		Dir:             t.TempDir(),
+		NumVBuckets:     8,
+		FailoverTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if err := c.AddNode(fmt.Sprintf("node%d", i), AllServices); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CreateBucket("default", BucketOptions{NumReplicas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Bucket("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := b.Write(fmt.Sprintf("k%d", i), "v", WriteOptions{
+			Durability: DurabilityOptions{ReplicateTo: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Orchestrator() != "node0" {
+		t.Fatalf("orchestrator = %s", c.Orchestrator())
+	}
+	// Crash the orchestrator itself: a new one takes over and the node
+	// is failed over automatically.
+	if err := c.Kill("node0"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if c.Orchestrator() == "node1" {
+			m, err := c.Internal().BucketMap("default")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.ActiveVBuckets("node0")) == 0 {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("auto-failover did not complete")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := b.Get(fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatalf("get after auto-failover: %v", err)
+		}
+	}
+}

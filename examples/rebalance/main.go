@@ -62,8 +62,9 @@ func main() {
 	fmt.Printf("rebalanced onto 3 nodes in %v (reads so far: %d, errors: %d)\n",
 		time.Since(start).Round(time.Millisecond), reads.Load(), readErrors.Load())
 
-	// Crash the orchestrator. The heartbeat detector fails it over and
-	// the next node takes over as orchestrator.
+	// Crash the orchestrator. The health watchdog behind
+	// FailoverTimeout fails it over and the next node takes over as
+	// orchestrator.
 	must(cluster.Kill("node0"))
 	deadline := time.Now().Add(10 * time.Second)
 	for cluster.Orchestrator() != "node1" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,11 +33,6 @@ type Config struct {
 	SyncPersist bool
 	// DiskDelay simulates storage device latency per flush batch.
 	DiskDelay time.Duration
-	// HeartbeatInterval / FailoverTimeout drive automatic failure
-	// detection (§4.3.1). Zero FailoverTimeout disables auto-failover
-	// (Failover can still be invoked manually).
-	HeartbeatInterval time.Duration
-	FailoverTimeout   time.Duration
 	// SlowQueryThreshold bounds N1QL latency before a statement lands
 	// in the slow-query log (default 100ms).
 	SlowQueryThreshold time.Duration
@@ -103,10 +99,6 @@ type Cluster struct {
 	// rebalanceMu serializes topology changes.
 	rebalanceMu sync.Mutex
 
-	lastSeen map[cmap.NodeID]time.Time
-	stopHB   chan struct{}
-	hbDone   chan struct{}
-
 	// slowLog retains recent statements slower than
 	// cfg.SlowQueryThreshold.
 	slowLog *metrics.SlowQueryLog
@@ -117,9 +109,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.NumVBuckets <= 0 {
 		cfg.NumVBuckets = cmap.NumVBuckets
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 25 * time.Millisecond
-	}
 	if cfg.Dir == "" {
 		cfg.Dir = filepath.Join(os.TempDir(), fmt.Sprintf("couchgo-%d", time.Now().UnixNano()))
 	}
@@ -127,15 +116,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		nodes:    make(map[cmap.NodeID]*Node),
-		buckets:  make(map[string]*bucketState),
-		lastSeen: make(map[cmap.NodeID]time.Time),
-		stopHB:   make(chan struct{}),
-		hbDone:   make(chan struct{}),
-		slowLog:  metrics.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogSize),
+		cfg:     cfg,
+		nodes:   make(map[cmap.NodeID]*Node),
+		buckets: make(map[string]*bucketState),
+		slowLog: metrics.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogSize),
 	}
-	go c.heartbeatLoop()
 	return c, nil
 }
 
@@ -152,7 +137,6 @@ func (c *Cluster) AddNode(id cmap.NodeID, services cmap.ServiceSet) (*Node, erro
 	}
 	n := newNode(id, services, filepath.Join(c.cfg.Dir, string(id)))
 	c.nodes[id] = n
-	c.lastSeen[id] = time.Now()
 	// Provision existing buckets on the new node (data service only),
 	// including their recorded view definitions (views are local
 	// indexes, so every data node must build them).
@@ -319,117 +303,34 @@ func (c *Cluster) bucket(name string) (*bucketState, error) {
 	return b, nil
 }
 
-// reconcileVB drives one vBucket's cluster-wide state to match the
-// bucket's current map: the mapped active is Active with consumers
-// attached, mapped replicas stream from the active, everyone else
-// drops their copy.
+// reconcileVB drives every alive data node's copy of one vBucket to
+// match the bucket's current map, the active's copy first so that
+// replicas stream from a promoted producer.
 func (c *Cluster) reconcileVB(b *bucketState, vbID int) error {
 	m := b.Map()
-	actID := m.Active(vbID)
-	replicas := m.Replicas(vbID)
-
-	actNode, err := c.Node(actID)
-	if err != nil || !actNode.Alive() {
+	act, err := c.Node(m.Active(vbID))
+	if err != nil || !act.Alive() {
 		return fmt.Errorf("core: vb %d has no live active node", vbID)
 	}
-	actNB, err := actNode.bucket(b.name)
-	if err != nil {
-		return err
-	}
-	actVB, err := actNB.createVB(vbID, vbucket.Active, actNode.diskDelay)
-	if err != nil {
-		return err
-	}
-	if actVB.State() != vbucket.Active {
-		// promote journals the takeover itself (it knows the causal
-		// moment relative to consumer reattachment).
-		actNB.promote(vbID)
-	} else {
-		actNB.mu.Lock()
-		actNB.attachConsumersLocked(actVB)
-		actNB.mu.Unlock()
-	}
-	// Prune durability acks to the current replica set.
-	names := make([]string, len(replicas))
-	for i, r := range replicas {
-		names[i] = string(r)
-	}
-	actVB.SetReplicaSet(names)
-
-	isReplica := map[cmap.NodeID]bool{}
-	for _, r := range replicas {
-		isReplica[r] = true
-	}
-	for _, n := range c.Nodes() {
-		if !n.services.Has(cmap.ServiceData) {
-			continue
+	nodes := []*Node{act}
+	for _, n := range c.dataNodes() {
+		if n != act {
+			nodes = append(nodes, n)
 		}
-		if n.id == actID {
-			actNB.stopReplStream(vbID)
-			continue
-		}
+	}
+	for _, n := range nodes {
 		nb, err := n.bucket(b.name)
 		if err != nil {
-			continue // dead or unprovisioned node
-		}
-		if isReplica[n.id] {
-			rvb, err := nb.createVB(vbID, vbucket.Replica, n.diskDelay)
-			if err != nil {
+			if n == act {
 				return err
 			}
-			if rvb.State() == vbucket.Active {
-				// Demotion: detach index consumers first.
-				nb.detachConsumers(vbID)
-			}
-			rvb.SetState(vbucket.Replica)
-			c.startReplicaStream(b, vbID, actNode, n)
-		} else {
-			if nb.vb(vbID) != nil {
-				nb.demoteAndDrop(vbID)
-			}
+			continue // unprovisioned node
+		}
+		if err := nb.reconcile(vbID, m, n.id, c.openLocal); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// startReplicaStream wires dst as a memory-to-memory DCP replica of
-// src's vBucket, resuming from the replica's applied seqno. Each
-// applied mutation is acknowledged back to the active for ReplicateTo
-// durability waits.
-func (c *Cluster) startReplicaStream(b *bucketState, vbID int, src, dst *Node) {
-	srcNB, err := src.bucket(b.name)
-	if err != nil {
-		return
-	}
-	srcVB := srcNB.vb(vbID)
-	dstNB, err := dst.bucket(b.name)
-	if err != nil {
-		return
-	}
-	dstVB := dstNB.vb(vbID)
-	if srcVB == nil || dstVB == nil {
-		return
-	}
-	// The replica adopts the active's failover log: if this replica is
-	// later promoted, consumers that resumed on the old active's branch
-	// present a (UUID, seqno) the promoted producer can validate.
-	dstVB.Producer().SetFailoverLog(srcVB.Producer().FailoverLog())
-	stream, err := srcVB.Producer().OpenStream("replica:"+string(dst.id), dstVB.HighSeqno())
-	if err != nil {
-		return
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range stream.C() {
-			dstVB.ApplyReplica(m)
-			srcVB.AckReplica(string(dst.id), m.Seqno)
-		}
-	}()
-	dstNB.setReplStream(vbID, func() {
-		stream.Close()
-		<-done
-	})
 }
 
 // Failover performs hard failover of a node (§4.3.1): replicas of its
@@ -458,7 +359,7 @@ func (c *Cluster) Failover(id cmap.NodeID) error {
 		b.setMap(next)
 		for vb := 0; vb < next.NumVBuckets; vb++ {
 			// Only vBuckets that referenced the dead node changed.
-			if old.Active(vb) == id || replicaOn(old, vb, id) {
+			if old.Active(vb) == id || slices.Contains(old.Replicas(vb), id) {
 				if next.Active(vb) == "" {
 					continue // all copies lost
 				}
@@ -471,18 +372,12 @@ func (c *Cluster) Failover(id cmap.NodeID) error {
 	return nil
 }
 
-func replicaOn(m *cmap.Map, vb int, id cmap.NodeID) bool {
-	for _, r := range m.Replicas(vb) {
-		if r == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Kill simulates a node crash: the node stops serving and its DCP
-// producers close, severing replication streams. Detection and
-// failover then happen via the heartbeat loop (or a manual Failover).
+// Kill simulates a node crash: the node stops serving, its DCP
+// producers close, and its inbound replica streams stop, so it neither
+// applies nor acknowledges replica mutations (a loop that a racing
+// reconcile starts afterwards finds its node down and exits).
+// Detection and failover then happen via a health watchdog (or a
+// manual Failover).
 func (c *Cluster) Kill(id cmap.NodeID) error {
 	n, err := c.Node(id)
 	if err != nil {
@@ -496,6 +391,7 @@ func (c *Cluster) Kill(id cmap.NodeID) error {
 	}
 	n.mu.Unlock()
 	for _, nb := range nbs {
+		nb.stopReplStreams()
 		nb.mu.Lock()
 		vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
 		for _, vb := range nb.vbs {
@@ -593,11 +489,11 @@ func (c *Cluster) moveVB(b *bucketState, vbID int, tgtActive cmap.NodeID, tgtRep
 		// Destination builds as Pending ("rebalance marks the
 		// destination partitions as being replicas until they are ready
 		// to be switched to active").
-		if _, err := dstNB.createVB(vbID, vbucket.Pending, dstNode.diskDelay); err != nil {
+		dstVB, err := dstNB.createVB(vbID, vbucket.Pending)
+		if err != nil {
 			return err
 		}
-		c.startReplicaStream(b, vbID, srcNode, dstNode)
-		dstVB := dstNB.vb(vbID)
+		dstNB.follow(dstVB, dstNode.id, curActive, c.openLocal)
 
 		// Atomic switchover: stop accepting writes on the source, let
 		// the destination catch up, then flip.
@@ -667,66 +563,22 @@ func indexOf(ids []cmap.NodeID, id cmap.NodeID) int {
 	return -1
 }
 
-// heartbeatLoop is the orchestrator's failure detector: nodes that
-// miss heartbeats beyond FailoverTimeout are automatically failed over
-// ("if a node in the cluster crashes ... the orchestrator notifies all
-// other machines ... and promotes to active status replica partitions").
-func (c *Cluster) heartbeatLoop() {
-	defer close(c.hbDone)
-	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stopHB:
-			return
-		case <-ticker.C:
-		}
-		if c.cfg.FailoverTimeout <= 0 {
-			continue
-		}
-		now := time.Now()
-		c.mu.Lock()
-		type suspect struct{ id cmap.NodeID }
-		var suspects []suspect
-		for id, n := range c.nodes {
-			if n.Alive() {
-				c.lastSeen[id] = now
-				continue
-			}
-			if now.Sub(c.lastSeen[id]) > c.cfg.FailoverTimeout {
-				suspects = append(suspects, suspect{id})
-			}
-		}
-		c.mu.Unlock()
-		for _, s := range suspects {
-			// Only fail over nodes still mapped somewhere.
-			if c.nodeStillMapped(s.id) {
-				c.Failover(s.id)
-			}
-		}
-	}
-}
-
-func (c *Cluster) nodeStillMapped(id cmap.NodeID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, b := range c.buckets {
-		m := b.Map()
-		for vb := 0; vb < m.NumVBuckets; vb++ {
-			if m.Active(vb) == id || replicaOn(m, vb, id) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // NodeMapped reports whether any bucket's map still references the
 // node as an active or replica. The health watchdog uses it so a node
 // check recovers to ok once failover has removed the dead node from
 // every map — a failed-over node is no longer the cluster's problem.
 func (c *Cluster) NodeMapped(id cmap.NodeID) bool {
-	return c.nodeStillMapped(id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, b := range c.buckets {
+		m := b.Map()
+		for vb := 0; vb < m.NumVBuckets; vb++ {
+			if m.Active(vb) == id || slices.Contains(m.Replicas(vb), id) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // BucketQuota returns the bucket's cache memory quota in bytes (0 when
@@ -749,18 +601,8 @@ func (c *Cluster) SeverReplication(bucketName string) error {
 		return err
 	}
 	for _, n := range c.Nodes() {
-		nb, err := n.bucket(bucketName)
-		if err != nil {
-			continue
-		}
-		nb.mu.Lock()
-		vbs := make([]int, 0, len(nb.replStreams))
-		for vb := range nb.replStreams {
-			vbs = append(vbs, vb)
-		}
-		nb.mu.Unlock()
-		for _, vb := range vbs {
-			nb.stopReplStream(vb)
+		if nb, err := n.bucket(bucketName); err == nil {
+			nb.stopReplStreams()
 		}
 	}
 	return nil
@@ -893,8 +735,6 @@ func (c *Cluster) Close() {
 		buckets = append(buckets, b)
 	}
 	c.mu.Unlock()
-	close(c.stopHB)
-	<-c.hbDone
 	for _, n := range nodes {
 		n.mu.Lock()
 		nbs := make([]*nodeBucket, 0, len(n.buckets))

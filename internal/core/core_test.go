@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"couchgo/internal/cache"
 	"couchgo/internal/cmap"
 	"couchgo/internal/executor"
+	"couchgo/internal/vbucket"
 	"couchgo/internal/views"
 )
 
@@ -151,52 +154,47 @@ func TestManualFailoverPromotesReplicas(t *testing.T) {
 	}
 }
 
-func TestAutoFailoverViaHeartbeat(t *testing.T) {
-	c, err := NewCluster(Config{
-		Dir:               t.TempDir(),
-		NumVBuckets:       8,
-		HeartbeatInterval: 10 * time.Millisecond,
-		FailoverTimeout:   50 * time.Millisecond,
-	})
+// TestKilledReplicaStopsAcking: a node removed by Kill neither applies
+// nor acknowledges replica mutations, so a ReplicateTo=1 write whose
+// only replica is the killed node cannot be acknowledged.
+func TestKilledReplicaStopsAcking(t *testing.T) {
+	c, cl := newTestCluster(t, 2, 1)
+	m, err := c.BucketMap("default")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		c.AddNode(cmap.NodeID(fmt.Sprintf("node%d", i)), cmap.AllServices)
-	}
-	c.CreateBucket("default", BucketOptions{NumReplicas: 1})
-	cl, _ := c.OpenBucket("default")
-	for i := 0; i < 30; i++ {
-		if _, err := cl.SetWithOptions(context.Background(), fmt.Sprintf("k%d", i), []byte("v"), 0, 0, 0,
-			DurabilityOptions{ReplicateTo: 1}); err != nil {
-			t.Fatal(err)
+	key := ""
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if node, vb := m.NodeForKey(k); node == "node0" && slices.Equal(m.Replicas(vb), []cmap.NodeID{"node1"}) {
+			key = k
 		}
 	}
-	if c.Orchestrator() != "node0" {
-		t.Fatalf("orchestrator = %s", c.Orchestrator())
+	n1, _ := c.Node("node1")
+	nb, err := n1.bucket("default")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Crash the orchestrator itself: a new one takes over and the node
-	// is failed over automatically.
-	c.Kill("node0")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if c.Orchestrator() == "node1" {
-			b, _ := c.bucket("default")
-			if len(b.Map().ActiveVBuckets("node0")) == 0 {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("auto-failover did not complete")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := c.Kill("node1"); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
-		if _, err := cl.Get(context.Background(), fmt.Sprintf("k%d", i)); err != nil {
-			t.Fatalf("get after auto-failover: %v", err)
+	write := func(what string) {
+		t.Helper()
+		_, err := cl.SetWithOptions(context.Background(), key, []byte(`{"v": 1}`), 0, 0, 0,
+			DurabilityOptions{ReplicateTo: 1, Timeout: 300 * time.Millisecond})
+		if !errors.Is(err, vbucket.ErrTimeout) {
+			t.Fatalf("ReplicateTo=1 write to a killed replica %s: err = %v, want %v", what, err, vbucket.ErrTimeout)
 		}
 	}
+	write("")
+	// A reconcile that passed its liveness check just before the Kill
+	// restarts the replica loop on the killed node; the loop itself
+	// must refuse to apply or ack.
+	_, vb := m.NodeForKey(key)
+	if err := nb.reconcile(vb, m, "node1", c.openLocal); err != nil {
+		t.Fatal(err)
+	}
+	write("after a racing reconcile")
 }
 
 func TestRebalanceScaleOut(t *testing.T) {

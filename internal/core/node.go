@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"couchgo/internal/analytics"
@@ -46,14 +47,13 @@ type Node struct {
 	services cmap.ServiceSet
 	dir      string
 
-	mu sync.Mutex
 	// alive simulates process liveness: a "down" node stops serving
-	// requests and stops heartbeating (§4.3.1 failure detection).
-	alive bool
+	// requests, which a health watchdog's node check detects (§4.3.1).
+	alive atomic.Bool
+
+	mu sync.Mutex
 	// buckets: per-bucket data-service state on this node.
 	buckets map[string]*nodeBucket
-	// diskDelay simulates device latency on the flusher path.
-	diskDelay time.Duration
 }
 
 // nodeBucket is one bucket's data-service footprint on one node.
@@ -61,6 +61,8 @@ type nodeBucket struct {
 	// nodeID and bucketName identify this footprint in journal events.
 	nodeID     string
 	bucketName string
+	// alive is the owning node's liveness.
+	alive *atomic.Bool
 
 	store *storage.Store
 	mu    sync.Mutex
@@ -82,19 +84,20 @@ type nodeBucket struct {
 	analytics *analytics.Engine
 	// vbCfg configures the node's vBuckets for this bucket.
 	vbCfg vbucket.Config
-	// replStreams: replication consumers running on THIS node for
-	// vBuckets whose active copy is elsewhere. vb -> stop func.
-	replStreams map[int]func()
+	// replStreams: replica-stream loops running on THIS node for
+	// vBuckets whose active copy is elsewhere.
+	replStreams map[int]*replLink
 }
 
 func newNode(id cmap.NodeID, services cmap.ServiceSet, dir string) *Node {
-	return &Node{
+	n := &Node{
 		id:       id,
 		services: services,
 		dir:      dir,
-		alive:    true,
 		buckets:  make(map[string]*nodeBucket),
 	}
+	n.alive.Store(true)
+	return n
 }
 
 // ID returns the node's identity.
@@ -104,17 +107,9 @@ func (n *Node) ID() cmap.NodeID { return n.id }
 func (n *Node) Services() cmap.ServiceSet { return n.services }
 
 // Alive reports simulated liveness.
-func (n *Node) Alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alive
-}
+func (n *Node) Alive() bool { return n.alive.Load() }
 
-func (n *Node) setAlive(v bool) {
-	n.mu.Lock()
-	n.alive = v
-	n.mu.Unlock()
-}
+func (n *Node) setAlive(v bool) { n.alive.Store(v) }
 
 func (n *Node) bucket(name string) (*nodeBucket, error) {
 	if !n.Alive() {
@@ -143,10 +138,11 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 	nb := &nodeBucket{
 		nodeID:      string(n.id),
 		bucketName:  name,
+		alive:       &n.alive,
 		store:       store,
 		vbs:         make(map[int]*vbucket.VBucket),
 		viewEngine:  views.NewEngine(),
-		replStreams: make(map[int]func()),
+		replStreams: make(map[int]*replLink),
 		fts:         ftsEng,
 		analytics:   anEng,
 		vbCfg: vbucket.Config{
@@ -170,7 +166,6 @@ func (n *Node) addBucket(name string, svc *gsi.Service, ftsEng *fts.Engine, anEn
 	nb.maintStop = make(chan struct{})
 	go nb.maintenanceLoop()
 	n.buckets[name] = nb
-	n.diskDelay = cfg.DiskDelay
 	n.mu.Unlock()
 	return nil
 }
@@ -292,7 +287,7 @@ func (nb *nodeBucket) pagerLoop(quota int64, fullEviction bool) {
 
 // createVB instantiates a vBucket in the given state. Active vBuckets
 // are attached to the view engine, GSI projector, and FTS engine.
-func (nb *nodeBucket) createVB(id int, state vbucket.State, diskDelay time.Duration) (*vbucket.VBucket, error) {
+func (nb *nodeBucket) createVB(id int, state vbucket.State) (*vbucket.VBucket, error) {
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
 	if vb, ok := nb.vbs[id]; ok {
@@ -302,13 +297,11 @@ func (nb *nodeBucket) createVB(id int, state vbucket.State, diskDelay time.Durat
 	if err != nil {
 		return nil, err
 	}
-	cfg := nb.vbCfg
-	cfg.DiskDelay = diskDelay
 	// Creation, warmup, and map insert must be atomic under nb.mu so a
 	// concurrent createVB neither double-builds nor observes a cold
 	// vBucket. The vbucket layer never calls back into core, so the
 	// lock order nb.mu -> vbucket is acyclic.
-	vb := vbucket.New(id, f, state, cfg) //couchvet:ignore lockblock -- atomic create+insert; vbucket never re-enters core
+	vb := vbucket.New(id, f, state, nb.vbCfg) //couchvet:ignore lockblock -- atomic create+insert; vbucket never re-enters core
 	// Restart warmup: a pre-existing file means a previous incarnation
 	// persisted data here; replay it into the cache before any
 	// consumer attaches.
@@ -358,14 +351,10 @@ func (nb *nodeBucket) vb(id int) *vbucket.VBucket {
 
 // promote flips a replica/pending vBucket to active and attaches the
 // index consumers ("the cluster will promote one of the replica
-// partitions to active status").
-func (nb *nodeBucket) promote(vbID int) {
+// partitions to active status"). The caller has stopped its inbound
+// replica stream.
+func (nb *nodeBucket) promote(vb *vbucket.VBucket) {
 	nb.mu.Lock()
-	vb := nb.vbs[vbID]
-	if vb == nil {
-		nb.mu.Unlock()
-		return
-	}
 	// State flip, failover-log append, and consumer attach are one
 	// atomic promotion under nb.mu; the vbucket/dcp layers never call
 	// back into core, so the lock order is acyclic.
@@ -382,12 +371,11 @@ func (nb *nodeBucket) promote(vbID int) {
 	e := events.New(events.VBucket, events.SevInfo, "vb takeover: replica promoted to active")
 	e.Node = nb.nodeID
 	e.Bucket = nb.bucketName
-	e.VB = vbID
+	e.VB = vb.ID
 	e.Fields = map[string]string{"high_seqno": strconv.FormatUint(highSeqno, 10)}
 	events.Default.Publish(e)
 	nb.attachConsumersLocked(vb)
 	nb.mu.Unlock()
-	nb.stopReplStream(vbID)
 }
 
 // demoteAndDrop removes a vBucket from this node entirely (rebalance
@@ -407,26 +395,6 @@ func (nb *nodeBucket) demoteAndDrop(vbID int) {
 	nb.store.DropVB(vbID)
 }
 
-func (nb *nodeBucket) setReplStream(vbID int, stop func()) {
-	nb.mu.Lock()
-	old := nb.replStreams[vbID]
-	nb.replStreams[vbID] = stop
-	nb.mu.Unlock()
-	if old != nil {
-		old()
-	}
-}
-
-func (nb *nodeBucket) stopReplStream(vbID int) {
-	nb.mu.Lock()
-	stop := nb.replStreams[vbID]
-	delete(nb.replStreams, vbID)
-	nb.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-}
-
 // close shuts down all vBuckets and engines for this bucket.
 func (nb *nodeBucket) close() {
 	if nb.pagerStop != nil {
@@ -435,21 +403,14 @@ func (nb *nodeBucket) close() {
 	if nb.maintStop != nil {
 		close(nb.maintStop)
 	}
+	nb.stopReplStreams()
 	nb.mu.Lock()
-	stops := make([]func(), 0, len(nb.replStreams))
-	for _, s := range nb.replStreams {
-		stops = append(stops, s)
-	}
-	nb.replStreams = make(map[int]func())
 	vbs := make([]*vbucket.VBucket, 0, len(nb.vbs))
 	for _, vb := range nb.vbs {
 		vbs = append(vbs, vb)
 	}
 	nb.vbs = make(map[int]*vbucket.VBucket)
 	nb.mu.Unlock()
-	for _, s := range stops {
-		s()
-	}
 	nb.viewEngine.Close()
 	for _, vb := range vbs {
 		vb.Close()
@@ -528,18 +489,6 @@ func (n *Node) stats(bucketName string) NodeStats {
 }
 
 // --- node-level KV entry points (invoked by the cluster router) ---
-
-func (n *Node) kvGet(ctx context.Context, bucket string, vbID int, key string, now int64) (cache.Item, error) {
-	nb, err := n.bucket(bucket)
-	if err != nil {
-		return cache.Item{}, err
-	}
-	vb := nb.vb(vbID)
-	if vb == nil {
-		return cache.Item{}, fmt.Errorf("%w (vb %d absent)", vbucket.ErrNotMyVBucket, vbID)
-	}
-	return vb.Get(ctx, key, now)
-}
 
 func (n *Node) kvVB(bucket string, vbID int) (*vbucket.VBucket, error) {
 	nb, err := n.bucket(bucket)

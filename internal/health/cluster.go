@@ -6,6 +6,7 @@ import (
 
 	"couchgo/internal/cmap"
 	"couchgo/internal/core"
+	"couchgo/internal/events"
 	"couchgo/internal/metrics"
 )
 
@@ -89,20 +90,7 @@ func RegisterClusterChecks(w *Watchdog, c *core.Cluster, cfg ClusterCheckConfig)
 	cfg.defaults()
 
 	for _, n := range c.Nodes() {
-		id := n.ID()
-		node := n
-		w.Register("node:"+string(id), func() (State, string) {
-			if node.Alive() {
-				return OK, "alive"
-			}
-			// A dead node still holding partitions is the emergency;
-			// once failover unmaps it everywhere it is history, not a
-			// problem — the check recovers so /health can go green.
-			if c.NodeMapped(id) {
-				return Critical, "node down with mapped partitions"
-			}
-			return OK, "down (failed over, unmapped)"
-		})
+		RegisterNodeCheck(w, c, n)
 	}
 
 	w.Register("feed:stalls", feedStallCheck(cfg))
@@ -111,6 +99,45 @@ func RegisterClusterChecks(w *Watchdog, c *core.Cluster, cfg ClusterCheckConfig)
 	w.Register("cache:residency", residencyCheck(c, cfg))
 	w.Register("cache:memory", memoryCheck(c, cfg))
 	w.Register("query:slowops", slowOpCheck(c, cfg))
+}
+
+// RegisterNodeCheck adds node's liveness check "node:<id>": critical
+// while the node is down and still holds mapped partitions, ok once
+// failover has unmapped it.
+func RegisterNodeCheck(w *Watchdog, c *core.Cluster, n *core.Node) {
+	id := n.ID()
+	w.Register("node:"+string(id), func() (State, string) {
+		if n.Alive() {
+			return OK, "alive"
+		}
+		// A dead node still holding partitions is the emergency;
+		// once failover unmaps it everywhere it is history, not a
+		// problem — the check recovers so /health can go green.
+		if c.NodeMapped(id) {
+			return Critical, "node down with mapped partitions"
+		}
+		return OK, "down (failed over, unmapped)"
+	})
+}
+
+// AutoFailover arms w to fail over a node whose "node:<id>" check
+// turns critical — the one wiring from failure detection to §4.3.1
+// failover, used by cbserver -auto-failover and by
+// couchgo.ClusterOptions.FailoverTimeout. A failover error is
+// journaled.
+func AutoFailover(w *Watchdog, c *core.Cluster) {
+	w.OnTransition(func(st CheckStatus) {
+		id := NodeIDFromCheck(st.Name)
+		if id == "" || st.State != Critical {
+			return
+		}
+		if err := c.Failover(id); err != nil {
+			e := events.New(events.Topology, events.SevWarn, "auto-failover failed")
+			e.Node = string(id)
+			e.Fields = map[string]string{"error": err.Error(), "check_detail": st.Detail}
+			events.Default.Publish(e)
+		}
+	})
 }
 
 // feedStallCheck ages the couchgo_feed_stalled gauge: any drain
@@ -282,8 +309,7 @@ func sumGauge(r *metrics.Registry, family string) int64 {
 }
 
 // NodeIDFromCheck extracts the node ID from a "node:<id>" check name
-// ("" for other checks) — the auto-failover wiring in cbserver keys
-// off it.
+// ("" for other checks) — the auto-failover wiring keys off it.
 func NodeIDFromCheck(name string) cmap.NodeID {
 	const prefix = "node:"
 	if len(name) > len(prefix) && name[:len(prefix)] == prefix {

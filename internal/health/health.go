@@ -10,8 +10,10 @@
 // raises the published state (and ClearAfter ticks before it clears),
 // so a metric oscillating around a threshold produces one transition,
 // not one per tick. Every transition is recorded in the event journal
-// and handed to an optional callback — cbserver wires that callback to
-// core's failover path for flag-gated auto-failover.
+// and handed to an optional callback — AutoFailover wires that
+// callback to core's failover path, the only failure detector either
+// cbserver -auto-failover or couchgo.ClusterOptions.FailoverTimeout
+// uses.
 package health
 
 import (
@@ -139,8 +141,8 @@ func (w *Watchdog) Register(name string, fn CheckFunc) {
 }
 
 // OnTransition sets a callback invoked (on the watchdog goroutine,
-// with no locks held) after each published state change. cbserver uses
-// it to trigger auto-failover from sustained-critical node checks.
+// with no locks held) after each published state change. AutoFailover
+// uses it to fail over nodes whose checks are held critical.
 func (w *Watchdog) OnTransition(fn func(CheckStatus)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -25,6 +25,8 @@
 //   - framebound:       no allocation in internal/memcproto sized by a
 //     wire-derived length without a preceding bounds check against a
 //     declared maximum
+//   - deadcode:         no unexported function or method that nothing
+//     in its package references (interface-satisfying methods exempt)
 //
 // lockblock and the first four rules are intra-procedural; lockorder
 // and ctxflow run once over the whole loaded module and follow calls
@@ -99,6 +101,7 @@ var All = []*Analyzer{
 	LockOrder,
 	CtxFlow,
 	FrameBound,
+	DeadCode,
 }
 
 // NewInfo returns a types.Info with every map the analyzers need.

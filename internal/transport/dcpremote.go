@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"couchgo/internal/core"
 	"couchgo/internal/dcp"
@@ -18,13 +19,19 @@ import (
 // a socket: the feed/replication consumer speaks to it exactly as it
 // would to a local *dcp.Producer, and every stream it opens rides a
 // dedicated connection so a slow consumer never head-of-line-blocks
-// request/response traffic.
+// request/response traffic. It is also the core.ReplicaSource of a
+// replica whose active copy lives in another process.
 type RemoteProducer struct {
 	addr string
 	vb   int
 }
 
-var _ dcp.StreamSource = (*RemoteProducer)(nil)
+var _ core.ReplicaSource = (*RemoteProducer)(nil)
+
+// dcpHandshakeTimeout bounds a DCP request/response exchange (a
+// failover-log fetch or a stream request, backfill snapshot included)
+// so a replica loop whose peer hangs does not wait on it forever.
+const dcpHandshakeTimeout = 10 * time.Second
 
 // NewRemoteProducer addresses vbID's producer on the node at addr.
 func NewRemoteProducer(addr string, vb int) *RemoteProducer {
@@ -40,6 +47,7 @@ func (rp *RemoteProducer) dcpExchange(f *memcproto.Frame) (*memcproto.Frame, err
 		return nil, fmt.Errorf("transport: dial %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
 	}
 	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(dcpHandshakeTimeout))
 	nc := countingConn{raw}
 	if _, err := f.WriteTo(nc); err != nil {
 		return nil, fmt.Errorf("transport: %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
@@ -94,17 +102,26 @@ func (rp *RemoteProducer) HighSeqno() uint64 {
 	return high
 }
 
+// Ack reports a replica's applied seqno back to the producer over s,
+// a stream this producer opened; the stream's name identifies the
+// replica.
+func (rp *RemoteProducer) Ack(s dcp.MutationStream, _ string, seqno uint64) {
+	if rs, ok := s.(*RemoteStream); ok {
+		rs.Ack(seqno)
+	}
+}
+
 // ResumeStream opens a named stream at (uuid, fromSeqno) over a
 // dedicated connection. A rollback rejection comes back as
 // *dcp.RollbackError exactly like the in-process producer's. The
-// returned stream is a *RemoteStream; replication consumers assert
-// that to send durability acks.
+// returned stream is a *RemoteStream.
 func (rp *RemoteProducer) ResumeStream(name string, uuid, fromSeqno uint64) (dcp.MutationStream, error) {
 	raw, err := net.DialTimeout("tcp", rp.addr, dialTimeout)
 	if err != nil {
 		mDialErrors.Inc()
 		return nil, fmt.Errorf("transport: dial %s: %v: %w", rp.addr, err, core.ErrNodeUnreachable)
 	}
+	raw.SetDeadline(time.Now().Add(dcpHandshakeTimeout))
 	nc := countingConn{Conn: raw}
 	req := &memcproto.Frame{
 		Magic:   memcproto.MagicReq,
@@ -135,6 +152,7 @@ func (rp *RemoteProducer) ResumeStream(name string, uuid, fromSeqno uint64) (dcp
 		return nil, errOf(resp.Status, resp.Value)
 	}
 	streamUUID, _ := memcproto.Uint64At(resp.Extras, memcproto.EpochLen)
+	raw.SetDeadline(time.Time{})
 
 	rs := &RemoteStream{
 		nc:      nc,
