@@ -442,6 +442,70 @@ func TestViewBackedIndexUSINGVIEW(t *testing.T) {
 	}
 }
 
+// TestViewIndexLimit: LIMIT over a view-backed index returns the same
+// rows whether or not it reaches the view engines, and reaches them
+// unless the low bound is exclusive.
+func TestViewIndexLimit(t *testing.T) {
+	c, cl := newTestCluster(t, 2, 0)
+	for i := 0; i < 20; i++ {
+		// Two documents per value of n, spread over both nodes.
+		cl.Set(context.Background(), fmt.Sprintf("p%02d", i), []byte(fmt.Sprintf(`{"n": %d}`, i/2)), 0)
+	}
+	if _, err := c.Query("CREATE INDEX byN ON `default`(n) USING VIEW", executor.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		where  string
+		pushed bool
+		want   []string
+	}{
+		{"n >= 3", true, []string{"p06", "p07", "p08", "p09"}},
+		{"n > 3", true, []string{"p08", "p09", "p10", "p11"}},
+		{"n = 5", true, []string{"p10", "p11"}},
+		{"n BETWEEN 8 AND 20", true, []string{"p16", "p17", "p18", "p19"}},
+		// High-only on a secondary index is not exact: no pushdown.
+		{"n <= 2", false, []string{"p00", "p01", "p02", "p03"}},
+	} {
+		stmt := "SELECT meta().id AS id FROM `default` WHERE " + tc.where + " LIMIT 4"
+		res, err := c.Query(stmt, executor.Options{Consistency: executor.RequestPlus})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, r.(map[string]any)["id"].(string))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: rows %v, want %v", tc.where, got, tc.want)
+		}
+		pres, err := c.Query("EXPLAIN "+stmt, executor.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := pres.Rows[0].(map[string]any)["operators"].([]any)[0].(map[string]any)
+		if scan["using"] != "VIEW" || (scan["limit"] == true) != tc.pushed {
+			t.Errorf("%s: scan %+v, want limit pushed=%v", tc.where, scan, tc.pushed)
+		}
+	}
+	for _, tc := range []struct {
+		opts executor.IndexScanOpts
+		want int
+	}{
+		{executor.IndexScanOpts{Low: []any{3.0}, LowIncl: true, Limit: 4}, 4},
+		{executor.IndexScanOpts{High: []any{3.0}, Limit: 4}, 4},
+		{executor.IndexScanOpts{EqualKey: []any{3.0}, HasEqual: true, Limit: 4}, 4},
+		{executor.IndexScanOpts{Low: []any{3.0}, Limit: 4}, 0}, // exclusive low: unknowable
+	} {
+		vopts, err := viewScanOptions(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vopts.Limit != tc.want {
+			t.Errorf("%+v: view limit %d, want %d", tc.opts, vopts.Limit, tc.want)
+		}
+	}
+}
+
 func TestMDSTopologyEnforcement(t *testing.T) {
 	c, err := NewCluster(Config{Dir: t.TempDir(), NumVBuckets: 8})
 	if err != nil {

@@ -338,27 +338,9 @@ func (s *clusterStore) ScanIndex(ctx context.Context, keyspace, index string, us
 // scanViewIndex serves an IndexScan over a view-backed index by
 // scatter/gathering the per-node view engines (Figure 8).
 func (c *Cluster) scanViewIndex(ctx context.Context, keyspace, index string, opts executor.IndexScanOpts) ([]executor.IndexEntry, error) {
-	vopts := views.QueryOptions{Descending: opts.Reverse}
-	switch {
-	case opts.HasEqual:
-		if len(opts.EqualKey) != 1 {
-			return nil, fmt.Errorf("core: view index scans take single keys")
-		}
-		vopts.Key = opts.EqualKey[0]
-		vopts.HasKey = true
-	default:
-		if opts.Low != nil {
-			vopts.StartKey = opts.Low[0]
-			vopts.HasStart = true
-		}
-		if opts.High != nil {
-			vopts.EndKey = opts.High[0]
-			vopts.HasEnd = true
-			vopts.InclusiveEnd = opts.HighIncl
-		}
-	}
-	if opts.Wait != nil {
-		vopts.Stale = views.StaleFalse
+	vopts, err := viewScanOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := c.queryViewRows(ctx, keyspace, viewIndexName(index), vopts, opts.Wait)
 	if err != nil {
@@ -376,6 +358,39 @@ func (c *Cluster) scanViewIndex(ctx context.Context, keyspace, index string, opt
 		}
 	}
 	return out, nil
+}
+
+// viewScanOptions translates an index scan into a view query. The
+// limit goes down to the view engines unless the low bound is
+// exclusive: the view API's start is inclusive, and how many rows
+// equal to it the scan must skip afterwards is not known up front.
+func viewScanOptions(opts executor.IndexScanOpts) (views.QueryOptions, error) {
+	vopts := views.QueryOptions{Descending: opts.Reverse}
+	switch {
+	case opts.HasEqual:
+		if len(opts.EqualKey) != 1 {
+			return vopts, fmt.Errorf("core: view index scans take single keys")
+		}
+		vopts.Key = opts.EqualKey[0]
+		vopts.HasKey = true
+	default:
+		if opts.Low != nil {
+			vopts.StartKey = opts.Low[0]
+			vopts.HasStart = true
+		}
+		if opts.High != nil {
+			vopts.EndKey = opts.High[0]
+			vopts.HasEnd = true
+			vopts.InclusiveEnd = opts.HighIncl
+		}
+	}
+	if opts.Low == nil || opts.LowIncl {
+		vopts.Limit = opts.Limit
+	}
+	if opts.Wait != nil {
+		vopts.Stale = views.StaleFalse
+	}
+	return vopts, nil
 }
 
 // --- DML (routed through the data service) ---

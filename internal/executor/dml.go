@@ -80,10 +80,7 @@ func mutationTargets(keyspace, alias string, useKeys, where, limit n1ql.Expr, ds
 			return nil, err
 		}
 	}
-	if lim >= 0 && len(rows) > lim {
-		rows = rows[:lim]
-	}
-	return rows, nil
+	return trimRows(rows, lim, 0), nil
 }
 
 // ExecuteDelete runs DELETE FROM ...

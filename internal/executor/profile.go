@@ -35,7 +35,7 @@ func NewProfile() *Profile { return &Profile{} }
 var phaseHists = func() map[string]*metrics.Histogram {
 	m := map[string]*metrics.Histogram{}
 	for _, ph := range []string{
-		"parse", "plan", "scan", "fetch", "join", "unnest",
+		"parse", "plan", "scan", "cover", "fetch", "join", "unnest",
 		"filter", "group", "project", "sort",
 	} {
 		m[ph] = metrics.Default.Histogram("couchgo_query_phase_duration_seconds", "phase", ph)

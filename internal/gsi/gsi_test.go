@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"couchgo/internal/storage"
@@ -286,6 +288,65 @@ func TestPartitionedIndex(t *testing.T) {
 	items = h.scanFresh(t, "age", ScanOptions{Low: []any{10.0}, LowIncl: true, Limit: 5})
 	if len(items) != 5 || items[0].SecKey[0] != 10.0 {
 		t.Fatalf("partitioned limit: %+v", items)
+	}
+}
+
+// TestPartitionedMergeOrderAndLimit: a scan over four partitions with
+// many documents per secondary key comes back in (key, DocID) order,
+// both reversed for reverse scans, and a limited scan is the prefix of
+// the unlimited one.
+func TestPartitionedMergeOrderAndLimit(t *testing.T) {
+	h := newHarness(t, 2)
+	if err := h.svc.CreateIndex(Def{
+		Name: "grp", Keyspace: "Profile", SecExprs: []string{"grp"}, NumPartitions: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const docs = 60
+	type ent struct {
+		grp float64
+		id  string
+	}
+	var want []ent
+	for i := 0; i < docs; i++ {
+		id := fmt.Sprintf("d%02d", (i*37)%docs) // insertion order is not ID order
+		grp := float64(i % 7)
+		h.put(t, i%2, id, fmt.Sprintf(`{"grp": %d}`, int(grp)))
+		want = append(want, ent{grp, id})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].grp != want[j].grp {
+			return want[i].grp < want[j].grp
+		}
+		return want[i].id < want[j].id
+	})
+	for _, reverse := range []bool{false, true} {
+		exp := append([]ent(nil), want...)
+		if reverse {
+			slices.Reverse(exp)
+		}
+		for _, limit := range []int{0, 1, 9, docs - 1, docs + 5} {
+			items := h.scanFresh(t, "grp", ScanOptions{Reverse: reverse, Limit: limit})
+			n := len(exp)
+			if limit > 0 && limit < n {
+				n = limit
+			}
+			if len(items) != n {
+				t.Fatalf("reverse=%v limit=%d: %d items, want %d", reverse, limit, len(items), n)
+			}
+			for i, it := range items {
+				if it.SecKey[0] != exp[i].grp || it.DocID != exp[i].id {
+					t.Fatalf("reverse=%v limit=%d: item %d = (%v, %s), want (%v, %s)",
+						reverse, limit, i, it.SecKey[0], it.DocID, exp[i].grp, exp[i].id)
+				}
+			}
+		}
+	}
+	parts, _ := h.svc.Partitions("Profile", "grp")
+	for p, ix := range parts {
+		if ix.Stats().Entries == 0 {
+			t.Fatalf("partition %d holds no entries; the merge is not exercised", p)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func chooseIndex(indexes []IndexInfo, conjuncts []n1ql.Expr, sel *n1ql.Select) *
 		// PrimaryScan; meta().id predicates still restrict the span.
 		c := sargIndex(*primary, conjuncts, sel)
 		if c == nil {
-			c = &candidate{info: *primary, span: Span{}, alias: sel.Alias}
+			c = &candidate{info: *primary, span: Span{Exact: len(conjuncts) == 0}, alias: sel.Alias}
 		}
 		return &candidate{
 			info:           c.info,
@@ -173,44 +173,22 @@ func sargIndex(info IndexInfo, conjuncts []n1ql.Expr, sel *n1ql.Select) *candida
 	// position: equalities extend the prefix; the first range stops it.
 	c := &candidate{info: info, alias: alias}
 	var equals []n1ql.Expr
-	pos := 0
-	for ; pos < len(info.SecCanonical); pos++ {
-		keyCanon := info.SecCanonical[pos]
-		eq, lo, hi, loIncl, hiIncl := matchKey(keyCanon, conjuncts, alias, info.IsArray && pos == 0)
-		if eq != nil {
-			equals = append(equals, eq)
+	used := make([]bool, len(conjuncts))
+	highOnly := false
+	for pos := 0; pos < len(info.SecCanonical); pos++ {
+		m := matchKey(info.SecCanonical[pos], conjuncts, alias, info.IsArray && pos == 0)
+		for _, i := range m.used {
+			used[i] = true
+		}
+		if m.eq != nil {
+			equals = append(equals, m.eq)
 			continue
 		}
-		if lo != nil || hi != nil {
+		if m.lo != nil || m.hi != nil {
 			c.hasRange = true
-			c.span = Span{Low: nil, High: nil}
-			if len(equals) > 0 {
-				// Equality prefix + range on the next key.
-				if lo != nil {
-					c.span.Low = append(append([]n1ql.Expr{}, equals...), lo)
-					c.span.LowIncl = loIncl
-				} else {
-					c.span.Low = append([]n1ql.Expr{}, equals...)
-					c.span.LowIncl = true
-				}
-				if hi != nil {
-					c.span.High = append(append([]n1ql.Expr{}, equals...), hi)
-					c.span.HighIncl = hiIncl
-				} else {
-					c.span.High = append([]n1ql.Expr{}, equals...)
-					c.span.HighIncl = true
-				}
-			} else {
-				if lo != nil {
-					c.span.Low = []n1ql.Expr{lo}
-					c.span.LowIncl = loIncl
-				}
-				if hi != nil {
-					c.span.High = []n1ql.Expr{hi}
-					c.span.HighIncl = hiIncl
-				}
-			}
-			break
+			highOnly = m.lo == nil
+			c.span.Low, c.span.LowIncl = rangeBound(equals, m.lo, m.loIncl)
+			c.span.High, c.span.HighIncl = rangeBound(equals, m.hi, m.hiIncl)
 		}
 		break
 	}
@@ -222,6 +200,7 @@ func sargIndex(info IndexInfo, conjuncts []n1ql.Expr, sel *n1ql.Select) *candida
 		c.span = Span{Low: equals, High: equals, LowIncl: true, HighIncl: true}
 		c.hasRange = true
 	}
+	c.span.Exact = exactSpan(info, used, highOnly)
 	if c.eqKeys == 0 && !c.hasRange && !info.IsPrimary {
 		// The index doesn't filter anything. It can still win as a
 		// covering full-index scan; otherwise reject.
@@ -242,80 +221,129 @@ func sargIndex(info IndexInfo, conjuncts []n1ql.Expr, sel *n1ql.Select) *candida
 	return c
 }
 
+// exactSpan reports whether the span alone guarantees the WHERE
+// clause: every conjunct was encoded into it in full, the index holds
+// one entry per document (not an array index), and the range has a low
+// bound unless the index is primary. A High-only range on a secondary
+// index also admits entries whose key is NULL or MISSING, which the
+// filter drops; primary keys are document IDs, always strings.
+func exactSpan(info IndexInfo, used []bool, highOnly bool) bool {
+	if info.IsArray || (highOnly && !info.IsPrimary) {
+		return false
+	}
+	for _, u := range used {
+		if !u {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeBound extends the equality prefix with one end of a range. A
+// range without that end leaves the prefix itself as an inclusive
+// bound, or no bound at all when there is no prefix.
+func rangeBound(equals []n1ql.Expr, end n1ql.Expr, incl bool) ([]n1ql.Expr, bool) {
+	if end == nil {
+		if len(equals) == 0 {
+			return nil, false
+		}
+		return append([]n1ql.Expr{}, equals...), true
+	}
+	return append(append([]n1ql.Expr{}, equals...), end), incl
+}
+
 func canonicalOf(e n1ql.Expr, alias string) string {
 	return n1ql.Formalize(e, alias).String()
 }
 
+// keyMatch is what the conjuncts say about one index key: an equality
+// or range bounds, and which conjuncts the span encodes in full.
+type keyMatch struct {
+	eq, lo, hi     n1ql.Expr
+	loIncl, hiIncl bool
+	// used indexes the conjuncts taken whole. A conjunct that lands
+	// only partly in the span (a second bound on the same key, or the
+	// other end of a BETWEEN) is left out: it stays a filter.
+	used []int
+}
+
 // matchKey scans the conjuncts for predicates sargable on one index
 // key, returning an equality expression or range bounds.
-func matchKey(keyCanon string, conjuncts []n1ql.Expr, alias string, arrayKey bool) (eq, lo, hi n1ql.Expr, loIncl, hiIncl bool) {
-	for _, cj := range conjuncts {
+func matchKey(keyCanon string, conjuncts []n1ql.Expr, alias string, arrayKey bool) keyMatch {
+	var m keyMatch
+	for i, cj := range conjuncts {
 		if arrayKey {
 			if e := matchArrayPredicate(keyCanon, cj, alias); e != nil {
-				return e, nil, nil, false, false
+				return keyMatch{eq: e, used: []int{i}}
 			}
 			continue
 		}
+		var lo, hi n1ql.Expr
+		var loIncl, hiIncl bool
 		switch t := cj.(type) {
 		case *n1ql.Binary:
-			keySide, constSide, op, ok := orientBinary(t, keyCanon, alias)
+			constSide, op, ok := orientBinary(t, keyCanon, alias)
 			if !ok {
 				continue
 			}
-			_ = keySide
 			switch op {
 			case n1ql.OpEq:
-				return constSide, nil, nil, false, false
+				return keyMatch{eq: constSide, used: []int{i}}
 			case n1ql.OpGt:
-				if lo == nil {
-					lo, loIncl = constSide, false
-				}
+				lo = constSide
 			case n1ql.OpGe:
-				if lo == nil {
-					lo, loIncl = constSide, true
-				}
+				lo, loIncl = constSide, true
 			case n1ql.OpLt:
-				if hi == nil {
-					hi, hiIncl = constSide, false
-				}
+				hi = constSide
 			case n1ql.OpLe:
-				if hi == nil {
-					hi, hiIncl = constSide, true
-				}
+				hi, hiIncl = constSide, true
 			}
 		case *n1ql.Between:
-			if t.Not {
+			if t.Not || canonicalOf(t.Operand, alias) != keyCanon || !n1ql.IsConstant(t.Lo) || !n1ql.IsConstant(t.Hi) {
 				continue
 			}
-			if canonicalOf(t.Operand, alias) == keyCanon && n1ql.IsConstant(t.Lo) && n1ql.IsConstant(t.Hi) {
-				if lo == nil {
-					lo, loIncl = t.Lo, true
-				}
-				if hi == nil {
-					hi, hiIncl = t.Hi, true
-				}
+			lo, hi, loIncl, hiIncl = t.Lo, t.Hi, true, true
+		default:
+			continue
+		}
+		whole := true
+		if lo != nil {
+			if m.lo == nil {
+				m.lo, m.loIncl = lo, loIncl
+			} else {
+				whole = false
 			}
 		}
+		if hi != nil {
+			if m.hi == nil {
+				m.hi, m.hiIncl = hi, hiIncl
+			} else {
+				whole = false
+			}
+		}
+		if whole {
+			m.used = append(m.used, i)
+		}
 	}
-	return nil, lo, hi, loIncl, hiIncl
+	return m
 }
 
 // orientBinary normalizes `key op const` / `const op key` comparisons.
-func orientBinary(b *n1ql.Binary, keyCanon, alias string) (keySide, constSide n1ql.Expr, op n1ql.BinOp, ok bool) {
+func orientBinary(b *n1ql.Binary, keyCanon, alias string) (constSide n1ql.Expr, op n1ql.BinOp, ok bool) {
 	flip := map[n1ql.BinOp]n1ql.BinOp{
 		n1ql.OpEq: n1ql.OpEq, n1ql.OpLt: n1ql.OpGt, n1ql.OpLe: n1ql.OpGe,
 		n1ql.OpGt: n1ql.OpLt, n1ql.OpGe: n1ql.OpLe,
 	}
 	if _, known := flip[b.Op]; !known {
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	if canonicalOf(b.LHS, alias) == keyCanon && n1ql.IsConstant(b.RHS) {
-		return b.LHS, b.RHS, b.Op, true
+		return b.RHS, b.Op, true
 	}
 	if canonicalOf(b.RHS, alias) == keyCanon && n1ql.IsConstant(b.LHS) {
-		return b.RHS, b.LHS, flip[b.Op], true
+		return b.LHS, flip[b.Op], true
 	}
-	return nil, nil, 0, false
+	return nil, 0, false
 }
 
 // matchArrayPredicate matches `ANY v IN coll SATISFIES v = const END`

@@ -481,7 +481,8 @@ func (e *Engine) queryOne(vi *viewIndex, opts QueryOptions) ([]Row, error) {
 	visit := func(_ []byte, v any) bool {
 		en := v.(entry)
 		rows = append(rows, Row{Key: en.key, Value: en.val, ID: en.id})
-		return true
+		// trimRows keeps at most Skip+Limit rows; stop the walk there.
+		return opts.Limit == 0 || len(rows) < opts.Skip+opts.Limit
 	}
 	if opts.Descending {
 		vi.tree.Descend(lo, hi, visit)
